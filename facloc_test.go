@@ -1,8 +1,12 @@
 package facloc
 
 import (
+	"context"
 	"math"
 	"testing"
+
+	"repro/internal/lp"
+	"repro/internal/obs"
 )
 
 func TestPublicAPIFacilityLocationEndToEnd(t *testing.T) {
@@ -47,6 +51,34 @@ func TestPublicAPILPRound(t *testing.T) {
 	}
 	if r.Solution.Cost() > (4+4*0.3)*lpVal+lpVal {
 		t.Fatalf("rounded cost %v vs LP %v", r.Solution.Cost(), lpVal)
+	}
+}
+
+func TestLPRoundTracesPivotCounts(t *testing.T) {
+	in := GenerateUniform(3, 6, 20, 1, 6)
+	rec := &obs.Recorder{}
+	if _, err := Solve(context.Background(), "lp-round", in, Options{Seed: 1, Trace: rec}); err != nil {
+		t.Fatal(err)
+	}
+	frac, err := lp.SolveFacility(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []obs.SpanEvent{
+		{Solver: "lp", Phase: "phase1", Round: 0, Work: int64(frac.Phase1Pivots)},
+		{Solver: "lp", Phase: "phase2", Round: 1, Work: int64(frac.Phase2Pivots)},
+	}
+	var got []obs.SpanEvent
+	for _, ev := range rec.Events() {
+		if ev.Solver == "lp" {
+			got = append(got, ev)
+		}
+	}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("lp events %+v, want %+v", got, want)
+	}
+	if frac.Phase1Pivots == 0 || frac.Phase2Pivots == 0 {
+		t.Fatalf("pivot counts %d+%d, want both positive", frac.Phase1Pivots, frac.Phase2Pivots)
 	}
 }
 

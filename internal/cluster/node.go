@@ -140,6 +140,16 @@ func (n *Node) storePut(key string, value []byte) {
 	}
 }
 
+// Forget drops key from this node's store, so a later replication of the
+// key is accepted, and fires the put callback, again. The serve layer calls
+// it when its solution cache evicts the entry, which keeps the store within
+// that cache's bound.
+func (n *Node) Forget(key string) {
+	n.mu.Lock()
+	delete(n.store, key)
+	n.mu.Unlock()
+}
+
 // Get reads a key from this node's local store slice.
 func (n *Node) Get(key string) ([]byte, bool) {
 	n.mu.Lock()

@@ -25,6 +25,9 @@ func MaxUDom(c *par.Ctx, nu, nv int, adj func(u, v int) bool, liveU []bool, seed
 	m2 := make([]int64, nu)
 	s1 := make([]bool, nv)
 	var st Stats
+	// The two U-side sweeps that scan a whole V row per candidate fork by
+	// the cost of that row.
+	rows := c.PerRow(nv)
 
 	remaining := func() int { return par.Count(c, nu, func(u int) bool { return cand[u] }) }
 
@@ -47,7 +50,7 @@ func MaxUDom(c *par.Ctx, nu, nv int, adj func(u, v int) bool, liveU []bool, seed
 		})
 		// Second hop: m2[u] = min over v ∈ Γ(u) of m1[v] — the min priority
 		// among all candidates sharing a V-neighbor with u (including u).
-		c.For(nu, func(u int) {
+		rows.For(nu, func(u int) {
 			best := infPri
 			for v := 0; v < nv; v++ {
 				if adj(u, v) && m1[v] < best {
@@ -76,7 +79,7 @@ func MaxUDom(c *par.Ctx, nu, nv int, adj func(u, v int) bool, liveU []bool, seed
 			}
 		})
 		c.Charge(int64(2*nu*nv), 2)
-		c.For(nu, func(u int) {
+		rows.For(nu, func(u int) {
 			if !cand[u] {
 				return
 			}

@@ -1,5 +1,7 @@
 package greedy
 
+import "repro/internal/par"
+
 // incrEngine is the round-incremental engine: the paper's "charge only the
 // edges still alive" cost model made literal.
 //
@@ -23,6 +25,10 @@ package greedy
 type incrEngine struct {
 	*state
 
+	// rows schedules the per-facility sweeps by the cost of one client
+	// row, so they fork even when nf is below the grain.
+	rows par.Ctx
+
 	liveLen []int32 // per-facility compacted prefix length (all-live prefix)
 	prefLen int     // liveCount at last compaction: liveLen[i] == prefLen ∀i
 	tlen    []int32 // per-facility H-prefix length within the live prefix
@@ -44,6 +50,7 @@ type incrEngine struct {
 func newIncrEngine(s *state) *incrEngine {
 	e := &incrEngine{
 		state:   s,
+		rows:    s.c.PerRow(s.nc),
 		liveLen: make([]int32, s.nf),
 		prefLen: s.nc,
 		tlen:    make([]int32, s.nf),
@@ -144,7 +151,7 @@ func newIncrEngine(s *state) *incrEngine {
 }
 
 func (e *incrEngine) computeStars() {
-	e.c.ForBlock(e.nf, e.starsBody)
+	e.rows.ForBlock(e.nf, e.starsBody)
 	e.c.Charge(int64(e.nf)*int64(e.prefLen), 1)
 }
 
@@ -155,7 +162,7 @@ func (e *incrEngine) compactLive() {
 	if e.liveCount == e.prefLen {
 		return
 	}
-	e.c.ForBlock(e.nf, e.compactBody)
+	e.rows.ForBlock(e.nf, e.compactBody)
 	e.c.Charge(int64(e.nf)*int64(e.prefLen), 1)
 	e.prefLen = e.liveCount
 }
@@ -167,7 +174,7 @@ func (e *incrEngine) compactLive() {
 // amortized across all the round's subselection iterations.
 func (e *incrEngine) beginRound() {
 	s := e.state
-	s.c.For(s.nf, e.tlenBody)
+	e.rows.For(s.nf, e.tlenBody)
 	for j := 0; j <= s.nc; j++ {
 		e.tOff[j] = 0
 	}
@@ -207,7 +214,7 @@ func (e *incrEngine) beginRound() {
 }
 
 func (e *incrEngine) degrees() {
-	e.c.For(e.nf, e.degBody)
+	e.rows.For(e.nf, e.degBody)
 	e.c.Charge(e.edges, 1)
 }
 
@@ -217,7 +224,7 @@ func (e *incrEngine) vote() {
 }
 
 func (e *incrEngine) prune() {
-	e.c.For(e.nf, e.pruneBody)
+	e.rows.For(e.nf, e.pruneBody)
 	e.c.Charge(e.edges, 1)
 }
 

@@ -1,6 +1,6 @@
-// Package lp is the linear-programming substrate: a from-scratch dense
-// two-phase primal simplex solver with dual extraction, and the builder for
-// the Figure-1 facility-location LP.
+// Package lp is the linear-programming substrate: a from-scratch two-phase
+// primal simplex solver over a dense tableau with sparse pivots and dual
+// extraction, and the builder for the Figure-1 facility-location LP.
 //
 // The paper's LP-rounding algorithm (§6.2, Theorem 6.5) takes an *optimal*
 // primal solution as input — "we do not know how to solve the linear program

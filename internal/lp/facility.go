@@ -66,6 +66,9 @@ type FacilityFrac struct {
 	Y     []float64           // facility opening fractions
 	Value float64             // LP objective value — a lower bound on OPT
 	Alpha []float64           // duals of the client rows (Figure-1 α_j)
+	// Phase1Pivots and Phase2Pivots are the simplex pivot counts of the
+	// solve (see Solution).
+	Phase1Pivots, Phase2Pivots int
 }
 
 // SolveFacility solves the Figure-1 LP for the instance and unpacks the
@@ -89,7 +92,10 @@ func SolveFacility(in *core.Instance) (*FacilityFrac, error) {
 	}
 	alpha := make([]float64, in.NC)
 	copy(alpha, sol.Dual[:in.NC])
-	return &FacilityFrac{X: x, Y: y, Value: sol.Value, Alpha: alpha}, nil
+	return &FacilityFrac{
+		X: x, Y: y, Value: sol.Value, Alpha: alpha,
+		Phase1Pivots: sol.Phase1Pivots, Phase2Pivots: sol.Phase2Pivots,
+	}, nil
 }
 
 // CheckFrac verifies the structural properties rounding relies on:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Sense is a constraint direction.
@@ -60,6 +61,10 @@ type Solution struct {
 	X      []float64
 	Value  float64
 	Dual   []float64
+	// Phase1Pivots counts the pivots that reached a feasible basis,
+	// including those that drive zero-valued artificials out of it;
+	// Phase2Pivots counts the pivots that then optimized the costs.
+	Phase1Pivots, Phase2Pivots int
 }
 
 // Errors returned by Solve.
@@ -78,6 +83,76 @@ const (
 // switches to Bland's rule (which cannot cycle) once the iteration count
 // passes a threshold.
 func (p *Problem) Solve() (*Solution, error) {
+	return p.solve(func(tb *tableau) phaseRunner { return tb })
+}
+
+// phaseRunner pivots a tableau: iterate runs one simplex phase to
+// optimality for a cost vector and returns its pivot count; pivot makes one
+// column basic in one row. Solve runs the tableau's own sparse pivots; the
+// tests run a dense reference through the same two-phase driver.
+type phaseRunner interface {
+	iterate(cost []float64, banArtificial bool) (Status, int, error)
+	pivot(leave, enter int)
+}
+
+// tableau is the dense simplex state: T = B⁻¹[A | slack | artificial],
+// rhs = B⁻¹b, and the basic column of each row.
+type tableau struct {
+	t     [][]float64
+	rhs   []float64
+	basis []int
+	isArt []bool
+
+	// nz is the nonzero pattern of t by column: bit i of column(j) is set
+	// exactly when t[i][j] != 0. Pivots keep it exact, so a column scan
+	// visits only the rows that hold a nonzero, in ascending row order.
+	nz    []uint64
+	words int // words per column of nz
+
+	// cb[i] is the current phase's cost of row i's basic variable, and
+	// cbRows marks the rows where it is nonzero.
+	cb     []float64
+	cbRows []uint64
+
+	cols []int // scratch: the nonzero columns of the last pivot row
+}
+
+// newTableau wraps a freshly built tableau and records its nonzero pattern.
+func newTableau(t [][]float64, rhs []float64, basis []int, isArt []bool) *tableau {
+	m, n := len(t), len(isArt)
+	words := (m + 63) / 64
+	tb := &tableau{
+		t: t, rhs: rhs, basis: basis, isArt: isArt,
+		nz: make([]uint64, n*words), words: words,
+		cb: make([]float64, m), cbRows: make([]uint64, words),
+	}
+	for i, row := range t {
+		for j, v := range row {
+			if v != 0 {
+				tb.nz[j*words+i>>6] |= 1 << (i & 63)
+			}
+		}
+	}
+	return tb
+}
+
+// column returns column j's words of the nonzero bitmap.
+func (tb *tableau) column(j int) []uint64 {
+	return tb.nz[j*tb.words : (j+1)*tb.words]
+}
+
+// setBasicCost records the cost of row i's basic variable.
+func (tb *tableau) setBasicCost(i int, c float64) {
+	tb.cb[i] = c
+	if c != 0 {
+		tb.cbRows[i>>6] |= 1 << (i & 63)
+	} else {
+		tb.cbRows[i>>6] &^= 1 << (i & 63)
+	}
+}
+
+// solve is Solve with the pivoting of the built tableau supplied by runner.
+func (p *Problem) solve(runner func(*tableau) phaseRunner) (*Solution, error) {
 	n0 := len(p.C)
 	m := len(p.Cons)
 	for _, c := range p.Cons {
@@ -174,6 +249,7 @@ func (p *Problem) Solve() (*Solution, error) {
 			isArt[artCol[i]] = true
 		}
 	}
+	run := runner(newTableau(t, rhs, basis, isArt))
 
 	// Phase 1: minimize sum of artificials.
 	phase1Cost := make([]float64, n)
@@ -182,7 +258,7 @@ func (p *Problem) Solve() (*Solution, error) {
 			phase1Cost[j] = 1
 		}
 	}
-	st, err := simplexIterate(t, rhs, basis, phase1Cost, isArt, false)
+	st, p1, err := run.iterate(phase1Cost, false)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +268,7 @@ func (p *Problem) Solve() (*Solution, error) {
 	}
 	p1val := objectiveValue(rhs, basis, phase1Cost)
 	if p1val > feasEps {
-		return &Solution{Status: Infeasible}, nil
+		return &Solution{Status: Infeasible, Phase1Pivots: p1}, nil
 	}
 	// Drive artificials out of the basis where possible; redundant rows keep
 	// a zero-valued artificial basic (banned from re-entering in phase 2).
@@ -202,7 +278,8 @@ func (p *Problem) Solve() (*Solution, error) {
 		}
 		for j := 0; j < n; j++ {
 			if !isArt[j] && math.Abs(t[i][j]) > pivotEps {
-				pivot(t, rhs, basis, i, j)
+				run.pivot(i, j)
+				p1++
 				break
 			}
 		}
@@ -211,12 +288,12 @@ func (p *Problem) Solve() (*Solution, error) {
 	// Phase 2: original costs (zero on slacks; artificials banned).
 	cost := make([]float64, n)
 	copy(cost, p.C)
-	st, err = simplexIterate(t, rhs, basis, cost, isArt, true)
+	st, p2, err := run.iterate(cost, true)
 	if err != nil {
 		return nil, err
 	}
 	if st == Unbounded {
-		return &Solution{Status: Unbounded}, nil
+		return &Solution{Status: Unbounded, Phase1Pivots: p1, Phase2Pivots: p2}, nil
 	}
 
 	x := make([]float64, n0)
@@ -239,127 +316,189 @@ func (p *Problem) Solve() (*Solution, error) {
 		dual[i] = y
 	}
 	return &Solution{
-		Status: Optimal,
-		X:      x,
-		Value:  objectiveValue(rhs, basis, cost),
-		Dual:   dual,
+		Status:       Optimal,
+		X:            x,
+		Value:        objectiveValue(rhs, basis, cost),
+		Dual:         dual,
+		Phase1Pivots: p1,
+		Phase2Pivots: p2,
 	}, nil
 }
 
-// simplexIterate pivots t to optimality for the given cost vector.
-// banArtificial excludes artificial columns from entering (phase 2).
-func simplexIterate(t [][]float64, rhs []float64, basis []int, cost []float64, isArt []bool, banArtificial bool) (Status, error) {
-	m := len(t)
-	if m == 0 {
-		return Optimal, nil
+// iterate pivots the tableau to optimality for the given cost vector and
+// returns the number of pivots. banArtificial excludes artificial columns
+// from entering (phase 2).
+//
+// The reduced-cost row is priced once and then kept. A pivot changes
+// column j of the tableau only where the pivot row is nonzero: elsewhere
+// every update subtracts a multiple of zero, and the one basic cost that
+// changes multiplies that zero. So only the pivot row's nonzero columns are
+// repriced, each summed over the nonzero basic-cost rows in the order
+// reducedCosts uses (zero terms leave the sum unchanged): every entry of
+// the kept row is bitwise the full recomputation, and the pivot sequence is
+// the one the dense method takes.
+func (tb *tableau) iterate(cost []float64, banArtificial bool) (Status, int, error) {
+	maxIter, blandAfter := iterLimits(len(tb.t), len(tb.isArt))
+	for i, bj := range tb.basis {
+		tb.setBasicCost(i, cost[bj])
 	}
-	n := len(t[0])
-	maxIter := 200*(m+n) + 5000
-	blandAfter := maxIter / 2
+	r := reducedCosts(tb.t, tb.basis, cost)
 	for iter := 0; iter < maxIter; iter++ {
-		r := reducedCosts(t, basis, cost)
-		// Entering column.
-		enter := -1
-		if iter < blandAfter {
-			best := -costEps
-			for j := 0; j < n; j++ {
-				if banArtificial && isArt[j] {
-					continue
-				}
-				if r[j] < best {
-					best = r[j]
-					enter = j
-				}
-			}
-		} else { // Bland: first improving column
-			for j := 0; j < n; j++ {
-				if banArtificial && isArt[j] {
-					continue
-				}
-				if r[j] < -costEps {
-					enter = j
-					break
-				}
-			}
-		}
+		enter := entering(r, tb.isArt, banArtificial, iter >= blandAfter)
 		if enter < 0 {
-			return Optimal, nil
+			return Optimal, iter, nil
 		}
-		// Ratio test; Bland tie-break on the basic variable index.
-		leave := -1
-		bestRatio := math.Inf(1)
-		for i := 0; i < m; i++ {
-			if t[i][enter] > pivotEps {
-				ratio := rhs[i] / t[i][enter]
+		leave := tb.ratioTest(enter)
+		if leave < 0 {
+			return Unbounded, iter, nil
+		}
+		tb.pivot(leave, enter)
+		tb.setBasicCost(leave, cost[enter])
+		tb.reprice(r, cost)
+	}
+	return Optimal, maxIter, ErrIterationLimit
+}
+
+// iterLimits returns the iteration cap of one phase on an m×n tableau (m ≥ 1)
+// and the iteration after which pricing switches from Dantzig to Bland.
+func iterLimits(m, n int) (maxIter, blandAfter int) {
+	maxIter = 200*(m+n) + 5000
+	return maxIter, maxIter / 2
+}
+
+// entering picks the entering column from the reduced costs r: the most
+// negative one below −costEps (Dantzig, first on ties), or under Bland's
+// rule the first one below −costEps. It returns −1 at optimality.
+func entering(r []float64, isArt []bool, banArtificial, bland bool) int {
+	enter := -1
+	best := -costEps
+	for j, rj := range r {
+		if banArtificial && isArt[j] {
+			continue
+		}
+		if bland {
+			if rj < -costEps {
+				return j
+			}
+		} else if rj < best {
+			best = rj
+			enter = j
+		}
+	}
+	return enter
+}
+
+// ratioTest returns the leaving row for column enter, breaking ties toward
+// the smaller basic variable index (Bland), or −1 when the column is
+// unbounded. Rows where the column is zero cannot pass the pivot threshold,
+// so it scans the column's nonzero rows only, in ascending order.
+func (tb *tableau) ratioTest(enter int) int {
+	leave := -1
+	bestRatio := math.Inf(1)
+	for w, word := range tb.column(enter) {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			if v := tb.t[i][enter]; v > pivotEps {
+				ratio := tb.rhs[i] / v
 				if ratio < bestRatio-pivotEps ||
-					(ratio < bestRatio+pivotEps && (leave < 0 || basis[i] < basis[leave])) {
+					(ratio < bestRatio+pivotEps && (leave < 0 || tb.basis[i] < tb.basis[leave])) {
 					bestRatio = ratio
 					leave = i
 				}
 			}
 		}
-		if leave < 0 {
-			return Unbounded, nil
-		}
-		pivot(t, rhs, basis, leave, enter)
 	}
-	return Optimal, ErrIterationLimit
+	return leave
 }
 
-// reducedCosts returns r_j = c_j − c_B·T_j for all columns.
+// reducedCosts returns r_j = c_j − c_B·T_j for all columns. Products are
+// rounded before they are subtracted (here and in every tableau update), so
+// no platform fuses them into a multiply-add and the pivot path is the same
+// on every architecture.
 func reducedCosts(t [][]float64, basis []int, cost []float64) []float64 {
-	m := len(t)
-	n := len(t[0])
 	r := append([]float64(nil), cost...)
-	for i := 0; i < m; i++ {
+	for i, row := range t {
 		cb := cost[basis[i]]
 		if cb == 0 {
 			continue
 		}
-		row := t[i]
-		for j := 0; j < n; j++ {
-			r[j] -= cb * row[j]
+		for j, v := range row {
+			r[j] -= float64(cb * v)
 		}
 	}
 	return r
 }
 
+// reprice recomputes r_j = c_j − c_B·T_j for the nonzero columns of the
+// last pivot row, over the rows where both T_ij and the basic cost are
+// nonzero, in ascending row order.
+func (tb *tableau) reprice(r, cost []float64) {
+	for _, j := range tb.cols {
+		v := cost[j]
+		for w, word := range tb.column(j) {
+			for word &= tb.cbRows[w]; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				v -= float64(tb.cb[i] * tb.t[i][j])
+			}
+		}
+		r[j] = v
+	}
+}
+
 func objectiveValue(rhs []float64, basis []int, cost []float64) float64 {
 	v := 0.0
 	for i, bj := range basis {
-		v += cost[bj] * rhs[i]
+		v += float64(cost[bj] * rhs[i])
 	}
 	return v
 }
 
-// pivot makes column `enter` basic in row `leave`.
-func pivot(t [][]float64, rhs []float64, basis []int, leave, enter int) {
-	m := len(t)
-	n := len(t[0])
-	piv := t[leave][enter]
-	inv := 1 / piv
-	prow := t[leave]
-	for j := 0; j < n; j++ {
-		prow[j] *= inv
+// pivot makes column enter basic in row leave. It collects the nonzero
+// columns of the pivot row once, into reused scratch, and updates only
+// those columns of the rows where column enter is nonzero: every skipped
+// term is a multiple of zero, so the nonzero entries come out bitwise as a
+// full-row update would leave them.
+func (tb *tableau) pivot(leave, enter int) {
+	prow := tb.t[leave]
+	cols := tb.cols[:0]
+	for j, v := range prow {
+		if v != 0 {
+			cols = append(cols, j)
+		}
 	}
-	rhs[leave] *= inv
+	tb.cols = cols
+	nz, words := tb.nz, tb.words
+	inv := 1 / prow[enter]
+	for _, j := range cols {
+		if prow[j] *= inv; prow[j] == 0 { // underflow
+			nz[j*words+leave>>6] &^= 1 << (leave & 63)
+		}
+	}
+	tb.rhs[leave] *= inv
 	prow[enter] = 1 // exactness
-	for i := 0; i < m; i++ {
-		if i == leave {
-			continue
+	ecol := tb.column(enter)
+	for w, word := range ecol {
+		for ; word != 0; word &= word - 1 {
+			b := bits.TrailingZeros64(word)
+			i := w<<6 | b
+			if i == leave {
+				continue
+			}
+			row := tb.t[i]
+			f := row[enter]
+			for _, j := range cols {
+				old := row[j]
+				row[j] -= float64(f * prow[j])
+				if (old == 0) != (row[j] == 0) {
+					nz[j*words+w] ^= 1 << b
+				}
+			}
+			row[enter] = 0 // exactness
+			ecol[w] &^= 1 << b
+			tb.rhs[i] -= float64(f * tb.rhs[leave])
 		}
-		f := t[i][enter]
-		if f == 0 {
-			continue
-		}
-		row := t[i]
-		for j := 0; j < n; j++ {
-			row[j] -= f * prow[j]
-		}
-		row[enter] = 0 // exactness
-		rhs[i] -= f * rhs[leave]
 	}
-	basis[leave] = enter
+	tb.basis[leave] = enter
 }
 
 // CheckPrimalFeasible verifies x against the constraints within tol.

@@ -52,7 +52,8 @@ func (m *DistMatrix) Clone() *DistMatrix {
 func SortedOrders(c *par.Ctx, m *DistMatrix) *par.Dense[int32] {
 	ord := par.NewDense[int32](m.R, m.C)
 	c.Charge(int64(m.R)*int64(m.C)*int64(math.Ilogb(float64(m.C)+2)+1), int64(math.Ilogb(float64(m.C)+2)+1))
-	c.ForBlock(m.R, func(lo, hi int) {
+	rows := c.PerRow(m.C)
+	rows.ForBlock(m.R, func(lo, hi int) {
 		n := m.C
 		a := make([]distKey, n)
 		b := make([]distKey, n)

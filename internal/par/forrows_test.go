@@ -68,3 +68,37 @@ func TestForRowsEdgeCases(t *testing.T) {
 		t.Fatal("body did not run for n=1")
 	}
 }
+
+func TestPerRowForksBelowGrainRowsAndKeepsCharges(t *testing.T) {
+	// The ForRows cutoff for rows of cost 1024 applied to For and ForBlock:
+	// 8 rows fork although 8 is far below the default grain, and each loop
+	// still charges n work and log n span, as on the original Ctx.
+	tally := &Tally{}
+	c := &Ctx{Workers: 4, Tally: tally}
+	rows := c.PerRow(1024)
+	var blocks int64
+	rows.ForBlock(8, func(lo, hi int) { atomic.AddInt64(&blocks, 1) })
+	if blocks < 2 {
+		t.Fatalf("blocks=%d, expected the row loop to fork", blocks)
+	}
+	var hits [8]int32
+	rows.For(8, func(i int) { atomic.AddInt32(&hits[i], 1) })
+	for i, h := range hits {
+		if h != 1 {
+			t.Fatalf("row %d visited %d times", i, h)
+		}
+	}
+	want := &Tally{}
+	(&Ctx{Tally: want}).ForBlock(8, func(lo, hi int) {})
+	(&Ctx{Tally: want}).For(8, func(i int) {})
+	if got, w := tally.Snapshot(), want.Snapshot(); got != w {
+		t.Fatalf("charged %+v, want %+v", got, w)
+	}
+	if rows.Workers != 4 || rows.Tally != tally {
+		t.Fatalf("PerRow dropped the configuration: %+v", rows)
+	}
+	var nilCtx *Ctx
+	if g := nilCtx.PerRow(0).Grain; g != DefaultGrain {
+		t.Fatalf("nil PerRow(0) grain %d, want %d", g, DefaultGrain)
+	}
+}

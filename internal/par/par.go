@@ -144,11 +144,29 @@ func (c *Ctx) ForRows(n, rowCost int, body func(lo, hi int)) {
 		rowCost = 1
 	}
 	c.charge(int64(n)*int64(rowCost), int64(rowCost)+logSpan(n))
-	g := (c.grain() + rowCost - 1) / rowCost
-	if g < 1 {
-		g = 1
+	c.forBlocks(n, c.rowGrain(rowCost), body)
+}
+
+// PerRow returns a copy of c for loops over rows whose bodies each cost
+// about rowCost basic operations: its Grain is the row count at which
+// ForRows forks such rows. For and ForBlock on the copy then spread rows
+// across workers even when there are fewer rows than the grain, and they
+// charge what they always charge, so callers keep their own cost
+// accounting. The copy is a value: build it once per solve and loop on its
+// address, and the loops stay allocation-free. A nil c yields the defaults.
+func (c *Ctx) PerRow(rowCost int) Ctx {
+	var d Ctx
+	if c != nil {
+		d = *c
 	}
-	c.forBlocks(n, g, body)
+	d.Grain = c.rowGrain(max(rowCost, 1))
+	return d
+}
+
+// rowGrain is the sequential cutoff, in rows, for rows of rowCost ≥ 1
+// operations: every block then carries at least Grain operations.
+func (c *Ctx) rowGrain(rowCost int) int {
+	return (c.grain() + rowCost - 1) / rowCost
 }
 
 // forBlocks runs body over [0, n) split into contiguous blocks of at least g

@@ -109,7 +109,7 @@ func newPDIncr(s *pdState) *pdIncr {
 func (e *pdIncr) payments() {
 	s := e.pdState
 	e.touched.Store(0)
-	s.c.For(s.nf, e.payBody)
+	s.rows.For(s.nf, e.payBody)
 	s.c.Charge(e.touched.Load()+int64(s.nf)*int64(math.Ilogb(float64(s.nc)+2)+1), 1)
 }
 

@@ -47,6 +47,7 @@ func (o *Options) denseEngine() bool {
 // replace per-iteration population counts.
 type pdState struct {
 	c       *par.Ctx
+	rows    par.Ctx // schedules per-facility sweeps by the cost of a client row
 	in      *core.Instance
 	nf, nc  int
 	onePlus float64
@@ -86,7 +87,7 @@ type pdEngine interface {
 
 func newPDState(c *par.Ctx, in *core.Instance, eps float64) *pdState {
 	s := &pdState{
-		c: c, in: in, nf: in.NF, nc: in.NC, onePlus: 1 + eps,
+		c: c, rows: c.PerRow(in.NC), in: in, nf: in.NF, nc: in.NC, onePlus: 1 + eps,
 		order:      metric.SortedOrders(c, in.D),
 		alpha:      make([]float64, in.NC),
 		frozen:     make([]bool, in.NC),
@@ -158,7 +159,7 @@ func Parallel(ctx context.Context, c *par.Ctx, in *core.Instance, opts *Options)
 	// client pays w·β, exactly as w colocated unit clients would. Payments
 	// sum over the presorted prefix d < γ/m² — the only positive terms.
 	var preTouched atomic.Int64
-	c.For(nf, func(i int) {
+	s.rows.For(nf, func(i int) {
 		row := s.order.Row(i)
 		drow := in.D.Row(i)
 		paid := 0.0

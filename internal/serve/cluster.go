@@ -235,6 +235,9 @@ func (s *Server) EnableCluster(cfg ClusterConfig) error {
 		cl.breakers[m.ID] = resilience.NewBreaker(bcfg)
 	}
 	node.SetOnPut(func(key string, value []byte) { s.installReplica(key, value) })
+	s.st.mu.Lock()
+	s.st.node = node
+	s.st.mu.Unlock()
 	s.cl = cl
 	cl.registerMetrics(s.reg)
 	if cfg.HealthInterval >= 0 {

@@ -23,29 +23,7 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
-	tc := &testCluster{}
-	for i := 0; i < n; i++ {
-		srv, err := New(Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
-		tc.srvs = append(tc.srvs, srv)
-		tc.ts = append(tc.ts, ts)
-		tc.urls = append(tc.urls, ts.URL)
-	}
-	for i, srv := range tc.srvs {
-		err := srv.EnableCluster(ClusterConfig{
-			Self:           tc.urls[i],
-			Peers:          tc.urls,
-			HealthInterval: -1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tc
+	return newTestClusterWith(t, n, Config{}, nil)
 }
 
 // ownerIndex returns which server owns key (all rings agree).
@@ -166,6 +144,83 @@ func TestClusterReplicatesSolutions(t *testing.T) {
 			t.Fatalf("owner refuses assign: %d", resp.StatusCode)
 		}
 	}
+}
+
+// TestClusterReplicaStoreBoundedByCache: a node keeps a replicated
+// solution's bytes only while the serve cache holds the solution, so the
+// store-entries gauge stays within MaxSolutions however many solves are
+// replicated, and an id the cache evicted is installed again when it is
+// replicated again.
+func TestClusterReplicaStoreBoundedByCache(t *testing.T) {
+	const maxSolutions = 2
+	tc := newTestClusterWith(t, 3, Config{MaxSolutions: maxSolutions}, nil)
+	in := facloc.GenerateUniform(66, 8, 40, 1, 6)
+	var hash string
+	for _, u := range tc.urls {
+		hash = submitInstance(t, u, in)
+	}
+	owner := tc.ownerIndex(t, hash)
+	replica := -1
+	for _, m := range tc.srvs[owner].cl.ring.Successors(hash, 2) {
+		if i := tc.index(t, m.ID); i != owner {
+			replica = i
+		}
+	}
+	if replica < 0 {
+		t.Fatal("no replica shard besides the owner")
+	}
+
+	solve := func(seed int64) string {
+		t.Helper()
+		code, body := postJSON(t, tc.urls[owner]+"/solve", SolveRequest{Hash: hash, Solver: "pd-par", Seed: seed})
+		if code != http.StatusOK {
+			t.Fatalf("solve seed %d: %d %s", seed, code, body)
+		}
+		var r solveResponse
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatal(err)
+		}
+		return r.ID
+	}
+	first := solve(1)
+	for seed := int64(2); seed <= 3*maxSolutions; seed++ {
+		solve(seed)
+	}
+	for i, u := range tc.urls {
+		if v := metricValue(t, scrape(t, u), "faclocd_cluster_store_entries"); v > maxSolutions {
+			t.Fatalf("node %d holds %v replicated entries, above the cache bound %d", i, v, maxSolutions)
+		}
+	}
+	held := func() bool {
+		resp, err := http.Get(tc.urls[replica] + "/solutions/" + first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	}
+	if held() {
+		t.Fatal("the replica still serves the first solution after the cache evicted it")
+	}
+	// The owner evicted it too, so solving it again replicates it again.
+	if id := solve(1); id != first {
+		t.Fatalf("re-solve gave id %s, want %s", id, first)
+	}
+	if !held() {
+		t.Fatal("the replica did not reinstall an evicted solution on re-replication")
+	}
+}
+
+// index returns the position of ring member id among the test servers.
+func (tc *testCluster) index(t *testing.T, id string) int {
+	t.Helper()
+	for i, u := range tc.urls {
+		if u == id {
+			return i
+		}
+	}
+	t.Fatalf("member %s is not a test server", id)
+	return -1
 }
 
 func TestClusterRingEndpoint(t *testing.T) {

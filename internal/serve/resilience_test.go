@@ -40,13 +40,14 @@ func (c *captureTransport) snapshot() ([]string, []string) {
 	return append([]string(nil), c.stamp...), append([]string(nil), c.paths...)
 }
 
-// newTestClusterWith is newTestCluster with a per-node config hook, so tests
-// can install capture transports or tighten timeouts.
-func newTestClusterWith(t *testing.T, n int, tweak func(i int, cfg *ClusterConfig)) *testCluster {
+// newTestClusterWith is newTestCluster with every server built from srvCfg
+// and a per-node config hook, so tests can bound the caches, install capture
+// transports or tighten timeouts.
+func newTestClusterWith(t *testing.T, n int, srvCfg Config, tweak func(i int, cfg *ClusterConfig)) *testCluster {
 	t.Helper()
 	tc := &testCluster{}
 	for i := 0; i < n; i++ {
-		srv, err := New(Config{})
+		srv, err := New(srvCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +114,7 @@ func settled(t *testing.T) int {
 // never more than the per-attempt cap.
 func TestForwardStampsShrinkingBudget(t *testing.T) {
 	captures := make([]*captureTransport, 3)
-	tc := newTestClusterWith(t, 3, func(i int, cfg *ClusterConfig) {
+	tc := newTestClusterWith(t, 3, Config{}, func(i int, cfg *ClusterConfig) {
 		captures[i] = &captureTransport{inner: http.DefaultTransport}
 		cfg.Client = &http.Client{Transport: captures[i]}
 	})
@@ -212,7 +213,7 @@ func TestSolveBudgetExhaustedAndMalformed(t *testing.T) {
 // local pd-par fallback labeled degraded:true, and the clean pd-dist cache
 // key stays vacant. Run under -race; goroutines must settle afterwards.
 func TestClusterSolveKillMidFanout(t *testing.T) {
-	tc := newTestClusterWith(t, 3, func(i int, cfg *ClusterConfig) {
+	tc := newTestClusterWith(t, 3, Config{}, func(i int, cfg *ClusterConfig) {
 		cfg.Timeout = 100 * time.Millisecond // tight NACK ladder: loud failure in ~ms, not seconds
 		cfg.Retries = 3
 	})
@@ -321,7 +322,7 @@ func TestClusterDegradedSkipsFanoutWhenImpaired(t *testing.T) {
 // (503, instance still stored locally for an idempotent retry) while an
 // allow_degraded put acks at majority quorum, labeled degraded.
 func TestPutInstanceQuorum(t *testing.T) {
-	tc := newTestClusterWith(t, 3, func(i int, cfg *ClusterConfig) {
+	tc := newTestClusterWith(t, 3, Config{}, func(i int, cfg *ClusterConfig) {
 		cfg.Replicas = 3 // full-ring replica set: quorum 2 survives one death
 		cfg.Timeout = 100 * time.Millisecond
 		cfg.Retries = 2
@@ -381,7 +382,7 @@ func TestPutInstanceQuorum(t *testing.T) {
 // TestBreakerStateOnRing: repeated failures against a dead peer trip its
 // breaker, the state shows on /cluster/ring, and the trip is counted.
 func TestBreakerStateOnRing(t *testing.T) {
-	tc := newTestClusterWith(t, 2, func(i int, cfg *ClusterConfig) {
+	tc := newTestClusterWith(t, 2, Config{}, func(i int, cfg *ClusterConfig) {
 		cfg.Resilience.Breaker = resilience.BreakerConfig{Window: 4, MinSamples: 2, Threshold: 0.5}
 		cfg.Timeout = 50 * time.Millisecond
 		cfg.Retries = 1

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	facloc "repro"
+	"repro/internal/cluster"
 	"repro/internal/durable"
 )
 
@@ -121,6 +122,10 @@ type store struct {
 	solsByInst map[string][]string
 	dur        *durable.Store // nil on memory-only daemons
 	met        *metrics
+	// node is the cluster node that holds this shard's replicated solution
+	// bytes (nil until clustering is enabled). Every evicted solution is
+	// dropped there too. Lock order: st.mu, then the node's own lock.
+	node *cluster.Node
 }
 
 func newStore(maxInstances, maxSolutions int, dur *durable.Store, met *metrics) *store {
@@ -193,7 +198,7 @@ func (st *store) dropInstanceLocked(hash string) {
 	dropped := make(map[string]bool, len(deps))
 	for _, id := range deps {
 		if _, ok := st.solutions[id]; ok {
-			delete(st.solutions, id)
+			st.deleteSolutionLocked(id)
 			dropped[id] = true
 			if st.dur != nil {
 				_ = st.dur.Delete(durable.KindSolutions, id)
@@ -288,7 +293,7 @@ func (st *store) dropSolutionLocked(id string) {
 	if !ok {
 		return
 	}
-	delete(st.solutions, id)
+	st.deleteSolutionLocked(id)
 	if st.dur != nil {
 		_ = st.dur.Delete(durable.KindSolutions, id)
 	}
@@ -304,6 +309,16 @@ func (st *store) dropSolutionLocked(id string) {
 		delete(st.solsByInst, e.instHash)
 	} else {
 		st.solsByInst[e.instHash] = deps
+	}
+}
+
+// deleteSolutionLocked removes id from the cache map and from the cluster
+// node's replica store, so the node's store stays within the cache's bound
+// and a later re-replication of id installs it again.
+func (st *store) deleteSolutionLocked(id string) {
+	delete(st.solutions, id)
+	if st.node != nil {
+		st.node.Forget(id)
 	}
 }
 

@@ -335,6 +335,8 @@ func init() {
 			if err != nil {
 				return nil, fmt.Errorf("facloc: solving the facility LP: %w", err)
 			}
+			pc.Emit(par.TraceEvent{Solver: "lp", Phase: "phase1", Round: 0, Work: int64(frac.Phase1Pivots)})
+			pc.Emit(par.TraceEvent{Solver: "lp", Phase: "phase2", Round: 1, Work: int64(frac.Phase2Pivots)})
 			if err := par.CtxErr(ctx); err != nil {
 				return nil, err
 			}
